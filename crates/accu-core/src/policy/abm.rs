@@ -1,30 +1,32 @@
 //! Adaptive Benefit Maximization (paper Algorithm 1).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use accu_telemetry::{CounterHandle, Recorder, TraceTrack, TraceValue};
 use osn_graph::NodeId;
 
-use crate::{AttackerView, Policy};
+use crate::{AttackerView, Observation, Policy, UserClass};
 
 /// Well-known ABM metric names (see [`Abm::attach_recorder`]).
+///
+/// The `heap_*` names predate the winner tree that replaced the lazy
+/// heap; they keep their meaning for the tree.
 pub mod abm_metrics {
-    /// Entries pushed onto the lazy max-heap (resets + rescores).
+    /// Winner-tree leaf updates: one per candidate on reset plus one per
+    /// rescore that changed a potential.
     pub const HEAP_PUSH: &str = "abm.heap_push";
-    /// Entries popped off the heap during `select`.
+    /// Tree tops taken during `select`: each is a returned target or a
+    /// requested skip.
     pub const HEAP_POP: &str = "abm.heap_pop";
-    /// Popped entries skipped because a fresher potential was cached
-    /// (the lazy-reevaluation miss path).
+    /// Tops skipped as stale. Always 0: the winner tree holds one entry
+    /// per node, so nothing goes stale.
     pub const STALE_SKIP: &str = "abm.stale_skip";
-    /// Popped entries skipped because the node was already requested.
+    /// Tops skipped because the node was already requested.
     pub const REQUESTED_SKIP: &str = "abm.requested_skip";
-    /// `select` calls that returned a target (= fresh pops; the
-    /// lazy-reevaluation hit rate is `selects / heap_pop`).
+    /// `select` calls that returned a target.
     pub const SELECTS: &str = "abm.selects";
-    /// Candidate potential re-evaluations triggered by observations.
+    /// Potential evaluations: the eager rescores in `observe` plus the
+    /// deferred nodes re-evaluated when they reach the tree top.
     pub const RESCORES: &str = "abm.rescores";
-    /// Rescores whose potential actually changed (and were re-pushed).
+    /// Rescores whose potential actually changed (and updated a leaf).
     pub const RESCORES_CHANGED: &str = "abm.rescores_changed";
 }
 
@@ -34,7 +36,6 @@ pub mod abm_metrics {
 struct AbmTelemetry {
     heap_push: CounterHandle,
     heap_pop: CounterHandle,
-    stale_skip: CounterHandle,
     requested_skip: CounterHandle,
     selects: CounterHandle,
     rescores: CounterHandle,
@@ -43,10 +44,11 @@ struct AbmTelemetry {
 
 impl AbmTelemetry {
     fn new(recorder: &Recorder) -> Self {
+        // Registered so snapshots report the (always zero) stale count.
+        recorder.counter(abm_metrics::STALE_SKIP);
         AbmTelemetry {
             heap_push: recorder.counter(abm_metrics::HEAP_PUSH),
             heap_pop: recorder.counter(abm_metrics::HEAP_POP),
-            stale_skip: recorder.counter(abm_metrics::STALE_SKIP),
             requested_skip: recorder.counter(abm_metrics::REQUESTED_SKIP),
             selects: recorder.counter(abm_metrics::SELECTS),
             rescores: recorder.counter(abm_metrics::RESCORES),
@@ -113,27 +115,89 @@ impl Default for AbmWeights {
     }
 }
 
-/// Max-heap entry ordered by potential, ties broken toward the lowest
-/// node id for determinism.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    potential: f64,
-    node: NodeId,
+/// A winner (tournament) tree over node ids: an implicit binary tree
+/// whose root `nodes[1]` is the strict `(key, lowest id)` argmax of a
+/// key slice.
+///
+/// Leaf `i` sits at `nodes[leaves + i]` and holds id `i`; every
+/// internal node holds the winner of its two children under
+/// [`f64::total_cmp`]. The left subtree always holds the lower ids, so
+/// a tie goes left. The key slice is owned by the caller and padded
+/// to `leaves` (a power of two, so all leaves share one depth); an
+/// empty leaf carries `-∞`.
+#[derive(Debug, Clone, Default)]
+struct WinnerTree {
+    nodes: Vec<u32>,
+    leaves: usize,
+    /// Ids whose key changed since the last [`repair`](Self::repair).
+    queue: Vec<usize>,
 }
 
-impl Eq for HeapEntry {}
+impl WinnerTree {
+    /// Builds the tree bottom-up over `keys` in O(n).
+    fn build(&mut self, keys: &[f64]) {
+        let leaves = keys.len();
+        debug_assert!(leaves.is_power_of_two());
+        self.leaves = leaves;
+        self.nodes.clear();
+        self.nodes.resize(leaves, 0);
+        self.nodes
+            .extend((0..leaves).map(|i| u32::try_from(i).expect("leaf ids fit in u32")));
+        for i in (1..leaves).rev() {
+            self.nodes[i] = winner(keys, self.nodes[2 * i], self.nodes[2 * i + 1]);
+        }
+        self.queue.clear();
+    }
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.potential
-            .total_cmp(&other.potential)
-            .then_with(|| other.node.cmp(&self.node))
+    /// The current winner. Its key is `-∞` when every leaf is empty.
+    fn top(&self) -> usize {
+        self.nodes[1] as usize
+    }
+
+    /// Records that the key of `id` changed.
+    fn update(&mut self, id: usize) {
+        self.queue.push(id);
+    }
+
+    /// Replays the queued leaves up to the root, level by level over
+    /// the sorted, deduplicated positions, so each internal node on a
+    /// changed path is recomputed once and after both its children.
+    fn repair(&mut self, keys: &[f64]) {
+        if self.queue.is_empty() {
+            return;
+        }
+        let queue = &mut self.queue;
+        queue.sort_unstable();
+        queue.dedup();
+        for pos in queue.iter_mut() {
+            *pos += self.leaves;
+        }
+        while queue[0] > 1 {
+            let mut len = 0;
+            for r in 0..queue.len() {
+                let parent = queue[r] >> 1;
+                if len == 0 || queue[len - 1] != parent {
+                    queue[len] = parent;
+                    len += 1;
+                }
+            }
+            queue.truncate(len);
+            for &p in queue.iter() {
+                self.nodes[p] = winner(keys, self.nodes[2 * p], self.nodes[2 * p + 1]);
+            }
+        }
+        queue.clear();
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// The winner of two sibling subtrees; `left` holds the lower ids, so
+/// it keeps ties.
+#[inline]
+fn winner(keys: &[f64], left: u32, right: u32) -> u32 {
+    if keys[right as usize].total_cmp(&keys[left as usize]).is_gt() {
+        right
+    } else {
+        left
     }
 }
 
@@ -154,13 +218,30 @@ impl PartialOrd for HeapEntry {
 ///
 /// # Implementation notes
 ///
-/// Potentials are cached and maintained *incrementally*: accepting `u`
-/// only changes the potentials of nodes within two hops of `u` (through
-/// realized edges), so only those are rescored. A lazy max-heap with
-/// stale-entry skipping yields the argmax; stale entries are recognized
-/// by comparing against the cache, which also handles potentials that
-/// *increase* (a cautious user's `q` flipping 0 → 1) — the reason
-/// classical lazy-greedy would be incorrect here.
+/// Potentials are cached, and a winner tree over node ids yields the
+/// strict `(potential, lowest id)` argmax. An observation only changes
+/// the potentials of nodes within two hops of the target (its *dirty*
+/// set), and most of those potentials can only fall:
+///
+/// * `P_D` sums non-negative terms over a set that only shrinks — a
+///   neighbor's friend-of-friend gain only drops to 0, and `u`'s own
+///   friend-of-friend status only turns on;
+/// * a reckless user's `q` is constant;
+/// * floating-point rounding is monotone, so the computed sums fall
+///   with the exact ones.
+///
+/// A potential can rise in two cases only: `u`'s own mutual count grew
+/// and `u` is not reckless (every other acceptance curve is
+/// non-decreasing in the mutual count), or `u` neighbors an unrequested
+/// threshold-gated user whose mutual count grew but is still below its
+/// threshold (the `P_I` denominator shrank). `observe` rescores exactly
+/// those nodes. Every other dirty node keeps its old value as an upper
+/// bound and is marked *deferred*. `select` re-evaluates a deferred node
+/// only when it reaches the top of the tree. Because no key is ever
+/// below its node's true potential, the first non-deferred top is the
+/// exact argmax, so this lazy evaluation picks the same targets as a
+/// full rescan — unlike classical lazy greedy, which assumes every
+/// potential can only fall.
 ///
 /// # Examples
 ///
@@ -174,26 +255,30 @@ impl PartialOrd for HeapEntry {
 pub struct Abm {
     weights: AbmWeights,
     name: String,
+    /// Tree keys: the cached potential of every candidate — exact, or an
+    /// upper bound while [`deferred`](Self::deferred) — and `-∞` for
+    /// requested nodes and the padding up to the tree's leaf count.
     potential: Vec<f64>,
-    heap: BinaryHeap<HeapEntry>,
+    /// Candidates whose cached potential is an upper bound awaiting
+    /// re-evaluation at the tree top.
+    deferred: Vec<bool>,
+    tree: WinnerTree,
     tel: AbmTelemetry,
     /// Decision-trace emission handle; a no-op until [`Abm::attach_tracer`].
     trace: TraceTrack,
-    /// Scratch buffer for the dirty set rebuilt on every observation;
-    /// reused so steady-state episodes never allocate here.
-    dirty: Vec<NodeId>,
+    /// Epoch stamps deduplicating one observation's dirty set: `v` was
+    /// already handled by the current `observe` iff `mark[v] == epoch`.
+    /// Kept on the policy so steady-state episodes never allocate here.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Dirty candidates handled by the current `observe` (traced only).
+    touched: usize,
     /// Initial (empty-observation) potentials of the last instance this
     /// policy was reset on. Within one instance every episode starts
     /// from the same observation, so the first reset's scores are
     /// replayed instead of recomputed — keyed by the instance's
     /// process-unique id, which clones share and rebuilds never reuse.
     init_cache: Option<InitCache>,
-    /// Flat per-edge mirror of [`AttackerView::edge_belief`]: the prior
-    /// while the edge is unresolved, `1.0`/`0.0` once revealed. Indexed
-    /// by [`osn_graph::EdgeId`]; refilled on reset, patched in
-    /// `observe` when an acceptance reveals the target's incident
-    /// edges.
-    belief: Vec<f64>,
     /// Flat per-node direct-term gain: `B_fof(v)` while `v` is neither
     /// a friend nor a friend-of-friend, `0.0` afterwards. Folding the
     /// friend/fof exclusions into the value makes the direct-term
@@ -223,17 +308,19 @@ impl Abm {
             weights,
             name: name.into(),
             potential: Vec::new(),
-            heap: BinaryHeap::new(),
+            deferred: Vec::new(),
+            tree: WinnerTree::default(),
             tel: AbmTelemetry::default(),
             trace: TraceTrack::disabled(),
-            dirty: Vec::new(),
+            mark: Vec::new(),
+            epoch: 0,
+            touched: 0,
             init_cache: None,
-            belief: Vec::new(),
             fof_gain: Vec::new(),
         }
     }
 
-    /// Creates an ABM policy reporting heap and rescore telemetry into
+    /// Creates an ABM policy reporting tree and rescore telemetry into
     /// `recorder` under the [`abm_metrics`] names.
     pub fn with_recorder(weights: AbmWeights, recorder: &Recorder) -> Self {
         let mut abm = Abm::new(weights);
@@ -241,10 +328,9 @@ impl Abm {
         abm
     }
 
-    /// Attaches a recorder: subsequent heap pushes/pops, lazy stale
-    /// skips and rescores are counted under the [`abm_metrics`] names.
-    /// Attaching a disabled recorder restores the zero-cost no-op
-    /// handles.
+    /// Attaches a recorder: subsequent leaf updates, tree tops and
+    /// rescores are counted under the [`abm_metrics`] names. Attaching a
+    /// disabled recorder restores the zero-cost no-op handles.
     pub fn attach_recorder(&mut self, recorder: &Recorder) {
         self.tel = AbmTelemetry::new(recorder);
     }
@@ -252,9 +338,9 @@ impl Abm {
     /// Attaches a trace track: while the track's sampling gate is open,
     /// every `select` emits a `decide` instant with the full potential
     /// breakdown (`q`, `P_D`, `P_I`, the weights, the runner-up and the
-    /// margin, plus the lazy-heap pop/skip counts for the step) and
-    /// every `observe` emits an `abm_observe` instant with the dirty-set
-    /// size. Attaching a disabled track restores the zero-cost no-op.
+    /// margin, plus the step's skip counts) and every `observe` emits an
+    /// `abm_observe` instant with the dirty-set size. Attaching a
+    /// disabled track restores the zero-cost no-op.
     pub fn attach_tracer(&mut self, track: &TraceTrack) {
         self.trace = track.clone();
     }
@@ -271,25 +357,19 @@ impl Abm {
         potential(view, u, self.weights)
     }
 
-    /// Rebuilds the [`belief`](Self::belief)/[`fof_gain`](Self::fof_gain)
-    /// structure-of-arrays caches from the view. Fresh (empty)
-    /// observations take the bulk-copy path: every edge is unresolved
-    /// and no node is a friend or friend-of-friend, so the caches are
-    /// verbatim copies of the instance's prior and benefit arrays.
-    fn refill_soa(&mut self, view: &AttackerView<'_>) {
+    /// Rebuilds the [`fof_gain`](Self::fof_gain) cache from the view.
+    /// Fresh (empty) observations take the bulk-copy path: no node is a
+    /// friend or friend-of-friend, so the cache is a verbatim copy of
+    /// the instance's benefit array.
+    fn refill_fof_gain(&mut self, view: &AttackerView<'_>) {
         let inst = view.instance();
         let obs = view.observation();
-        self.belief.clear();
         self.fof_gain.clear();
         if obs.requests().is_empty() {
-            self.belief.extend_from_slice(&inst.edge_prob);
             self.fof_gain.extend_from_slice(&inst.benefits.fof);
             return;
         }
         let benefits = inst.benefits();
-        self.belief.extend(
-            (0..inst.graph().edge_count()).map(|i| view.edge_belief(osn_graph::EdgeId::from(i))),
-        );
         self.fof_gain.extend((0..inst.node_count()).map(|i| {
             let v = NodeId::from(i);
             if obs.is_friend(v) || obs.is_friend_of_friend(v) {
@@ -300,13 +380,20 @@ impl Abm {
         }));
     }
 
-    /// Evaluates the ABM potential of `u` through the SoA caches: the
-    /// direct-term walk over `u`'s adjacency row becomes a branch-free
-    /// two-array dot product. Bit-identical to [`potential`] — every
-    /// neighbor the scratch evaluation *skips* (friends,
-    /// friends-of-friends, `p = 0` edges) reads a `0.0` factor here, so
-    /// its contribution is an exact `+0.0` add, and `x + 0.0 == x`
-    /// bitwise for the non-negative partial sums this loop produces.
+    /// Evaluates the ABM potential of candidate `u` through the
+    /// [`fof_gain`](Self::fof_gain) cache: the direct-term walk over
+    /// `u`'s adjacency row becomes a branch-free two-array dot product.
+    /// Bit-identical to [`potential`] — every neighbor the scratch
+    /// evaluation *skips* (friends, friends-of-friends, `p = 0` edges)
+    /// reads a `0.0` factor here, so its contribution is an exact `+0.0`
+    /// add, and `x + 0.0 == x` bitwise for the non-negative partial sums
+    /// this loop produces.
+    ///
+    /// Edge beliefs are read straight from the instance's priors. An
+    /// edge resolves only when an endpoint becomes a friend, and `u` is
+    /// a candidate, so every edge read here is unresolved unless the
+    /// other endpoint is a friend — and then the direct term multiplies
+    /// it by a `0.0` gain and the indirect term skips it.
     fn potential_cached(&self, view: &AttackerView<'_>, u: NodeId) -> f64 {
         let obs = view.observation();
         let inst = view.instance();
@@ -323,7 +410,7 @@ impl Abm {
                 0.0
             };
         for (v, e) in inst.graph().neighbor_entries(u) {
-            direct += self.belief[e.index()] * self.fof_gain[v.index()];
+            direct += inst.edge_prob[e.index()] * self.fof_gain[v.index()];
         }
         let mut indirect = 0.0;
         if w.indirect() > 0.0 {
@@ -331,7 +418,7 @@ impl Abm {
                 if obs.is_friend(entry.node) {
                     continue;
                 }
-                let p = self.belief[entry.edge.index()];
+                let p = inst.edge_prob[entry.edge.index()];
                 if p == 0.0 {
                     continue;
                 }
@@ -347,55 +434,85 @@ impl Abm {
         q * (w.direct() * direct + w.indirect() * indirect)
     }
 
+    /// Re-evaluates candidate `u` exactly and updates its leaf if the
+    /// potential moved.
     fn rescore(&mut self, view: &AttackerView<'_>, u: NodeId) {
-        if view.observation().was_requested(u) {
-            return;
-        }
+        self.deferred[u.index()] = false;
         self.tel.rescores.incr();
         let p = self.potential_cached(view, u);
         if p != self.potential[u.index()] {
             self.potential[u.index()] = p;
-            self.heap.push(HeapEntry {
-                potential: p,
-                node: u,
-            });
+            self.tree.update(u.index());
             self.tel.rescores_changed.incr();
             self.tel.heap_push.incr();
         }
     }
 
-    /// Emits the `decide` trace instant for a fresh pop: the potential
-    /// breakdown of the picked node, the exact runner-up (a scan of the
-    /// potential cache — the heap top may be stale, so peeking it would
-    /// over-report), the margin between them, and the step's lazy-heap
-    /// skip counts. Only called while the track's gate is open, so the
-    /// untraced select path pays one relaxed load and nothing else.
-    fn emit_decide(
-        &self,
-        view: &AttackerView<'_>,
-        entry: HeapEntry,
-        stale_skips: u64,
-        requested_skips: u64,
-    ) {
-        let (q, p_d, p_i) = potential_parts(view, entry.node, self.weights);
-        let mut runner_up: Option<HeapEntry> = None;
+    /// Empties `u`'s leaf: it left the candidate set.
+    fn retire(&mut self, u: NodeId) {
+        self.potential[u.index()] = f64::NEG_INFINITY;
+        self.deferred[u.index()] = false;
+        self.tree.update(u.index());
+    }
+
+    /// Marks `u` as handled by the current observation. Returns `false`
+    /// if it already was, or is no longer a candidate.
+    fn touch(&mut self, obs: &Observation, u: NodeId) -> bool {
+        if obs.was_requested(u) || self.mark[u.index()] == self.epoch {
+            return false;
+        }
+        self.mark[u.index()] = self.epoch;
+        self.touched += 1;
+        true
+    }
+
+    /// Rescores `u` now: its potential may have risen.
+    fn rescore_eager(&mut self, view: &AttackerView<'_>, u: NodeId) {
+        if self.touch(view.observation(), u) {
+            self.rescore(view, u);
+        }
+    }
+
+    /// Defers `u`: its potential can only have fallen, so the cached
+    /// value stays a valid upper bound.
+    fn defer(&mut self, obs: &Observation, u: NodeId) {
+        if self.touch(obs, u) {
+            self.deferred[u.index()] = true;
+        }
+    }
+
+    /// Emits the `decide` trace instant for a pick: the potential
+    /// breakdown of the picked node, the exact runner-up, the margin
+    /// between them, and the step's skip counts. Deferred candidates
+    /// are evaluated read-only for the runner-up scan (their cached
+    /// value is only an upper bound) and nothing is committed, so a
+    /// traced run selects exactly as an untraced one. Only called while
+    /// the track's gate is open, so the untraced select path pays one
+    /// relaxed load and nothing else.
+    fn emit_decide(&self, view: &AttackerView<'_>, picked: NodeId, requested_skips: u64) {
+        let picked_potential = self.potential[picked.index()];
+        let (q, p_d, p_i) = potential_parts(view, picked, self.weights);
+        // Candidates come in increasing id order, so keeping the first
+        // of equal potentials breaks ties toward the lowest id.
+        let mut runner_up: Option<(f64, NodeId)> = None;
         for u in view.candidates() {
-            if u == entry.node {
+            if u == picked {
                 continue;
             }
-            let candidate = HeapEntry {
-                potential: self.potential[u.index()],
-                node: u,
+            let p = if self.deferred[u.index()] {
+                self.potential_cached(view, u)
+            } else {
+                self.potential[u.index()]
             };
-            if runner_up.as_ref().is_none_or(|best| candidate > *best) {
-                runner_up = Some(candidate);
+            if runner_up.is_none_or(|(best, _)| p.total_cmp(&best).is_gt()) {
+                runner_up = Some((p, u));
             }
         }
         self.trace.instant(
             "decide",
             &[
-                ("picked", TraceValue::U64(entry.node.index() as u64)),
-                ("potential", TraceValue::F64(entry.potential)),
+                ("picked", TraceValue::U64(picked.index() as u64)),
+                ("potential", TraceValue::F64(picked_potential)),
                 ("q", TraceValue::F64(q)),
                 ("p_d", TraceValue::F64(p_d)),
                 ("p_i", TraceValue::F64(p_i)),
@@ -403,33 +520,33 @@ impl Abm {
                 ("w_i", TraceValue::F64(self.weights.indirect())),
                 (
                     "runner_up",
-                    match &runner_up {
-                        Some(r) => TraceValue::I64(r.node.index() as i64),
+                    match runner_up {
+                        Some((_, u)) => TraceValue::I64(u.index() as i64),
                         None => TraceValue::I64(-1),
                     },
                 ),
                 (
                     "margin",
-                    match &runner_up {
-                        Some(r) => TraceValue::F64(entry.potential - r.potential),
-                        None => TraceValue::F64(entry.potential),
+                    match runner_up {
+                        Some((p, _)) => TraceValue::F64(picked_potential - p),
+                        None => TraceValue::F64(picked_potential),
                     },
                 ),
-                ("stale_skips", TraceValue::U64(stale_skips)),
+                ("stale_skips", TraceValue::U64(0)),
                 ("requested_skips", TraceValue::U64(requested_skips)),
             ],
         );
     }
 
-    /// Emits the `abm_observe` trace instant: how large the incremental
-    /// dirty set was for this observation (the nodes actually rescored).
-    fn emit_observe(&self, target: NodeId, accepted: bool, dirty: usize) {
+    /// Emits the `abm_observe` trace instant: how many dirty candidates
+    /// this observation rescored or deferred.
+    fn emit_observe(&self, target: NodeId, accepted: bool) {
         self.trace.instant(
             "abm_observe",
             &[
                 ("target", TraceValue::U64(target.index() as u64)),
                 ("accepted", TraceValue::Bool(accepted)),
-                ("dirty", TraceValue::U64(dirty as u64)),
+                ("dirty", TraceValue::U64(self.touched as u64)),
             ],
         );
     }
@@ -515,11 +632,8 @@ impl Policy for Abm {
 
     fn reset(&mut self, view: &AttackerView<'_>) {
         let n = view.graph().node_count();
-        // Reclaim the heap's backing storage so steady-state resets
-        // reuse it instead of reallocating.
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.clear();
-        self.refill_soa(view);
+        let leaves = n.next_power_of_two();
+        self.refill_fof_gain(view);
         // Fresh-episode fast path: with no requests recorded yet every
         // node is a candidate and the potentials depend only on the
         // instance, so the first reset's scores are replayed verbatim.
@@ -529,25 +643,18 @@ impl Policy for Abm {
             && self
                 .init_cache
                 .as_ref()
-                .is_some_and(|c| c.instance_id == id && c.potentials.len() == n);
-        if cached {
+                .is_some_and(|c| c.instance_id == id && c.potentials.len() == leaves);
+        self.potential.clear();
+        let candidates = if cached {
             let cache = self.init_cache.as_ref().expect("cache checked above");
-            self.potential.clear();
             self.potential.extend_from_slice(&cache.potentials);
-            entries.extend(self.potential.iter().enumerate().map(|(i, &p)| HeapEntry {
-                potential: p,
-                node: NodeId::from(i),
-            }));
+            n
         } else {
-            self.potential.clear();
-            self.potential.resize(n, f64::NEG_INFINITY);
+            self.potential.resize(leaves, f64::NEG_INFINITY);
+            let mut candidates = 0;
             for u in view.candidates() {
-                let p = self.potential_cached(view, u);
-                self.potential[u.index()] = p;
-                entries.push(HeapEntry {
-                    potential: p,
-                    node: u,
-                });
+                self.potential[u.index()] = self.potential_cached(view, u);
+                candidates += 1;
             }
             if fresh {
                 self.init_cache = Some(InitCache {
@@ -555,37 +662,50 @@ impl Policy for Abm {
                     potentials: self.potential.clone(),
                 });
             }
+            candidates
+        };
+        self.deferred.clear();
+        self.deferred.resize(n, false);
+        if self.mark.len() != n {
+            self.mark.clear();
+            self.mark.resize(n, 0);
+            self.epoch = 0;
         }
-        // Heapify in bulk: the entry order is a strict total order
-        // (potential, then node id), so pop sequences depend only on
-        // the entry multiset, never on heap-internal layout.
-        self.heap = BinaryHeap::from(entries);
-        self.tel.heap_push.add(self.heap.len() as u64);
+        self.tree.build(&self.potential);
+        self.tel.heap_push.add(candidates as u64);
     }
 
     fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
         let obs = view.observation();
-        let mut stale_skips = 0u64;
         let mut requested_skips = 0u64;
-        while let Some(entry) = self.heap.pop() {
-            self.tel.heap_pop.incr();
-            if obs.was_requested(entry.node) {
+        loop {
+            self.tree.repair(&self.potential);
+            let top = self.tree.top();
+            if self.potential[top] == f64::NEG_INFINITY {
+                return None; // every leaf is empty
+            }
+            let u = NodeId::from(top);
+            if obs.was_requested(u) {
+                // Requested without an `observe` in between.
+                self.tel.heap_pop.incr();
                 self.tel.requested_skip.incr();
                 requested_skips += 1;
-                continue; // no longer a candidate
+                self.retire(u);
+                continue;
             }
-            if entry.potential != self.potential[entry.node.index()] {
-                self.tel.stale_skip.incr();
-                stale_skips += 1;
-                continue; // stale entry; a fresher one is in the heap
+            if self.deferred[top] {
+                // An upper bound on top: make it exact and retry. If it
+                // did not move, the repair is a no-op and `u` wins again.
+                self.rescore(view, u);
+                continue;
             }
+            self.tel.heap_pop.incr();
             self.tel.selects.incr();
             if self.trace.is_active() {
-                self.emit_decide(view, entry, stale_skips, requested_skips);
+                self.emit_decide(view, u, requested_skips);
             }
-            return Some(entry.node);
+            return Some(u);
         }
-        None
     }
 
     fn observe(
@@ -595,73 +715,83 @@ impl Policy for Abm {
         accepted: bool,
         newly_revealed: &[NodeId],
     ) {
-        // The dirty buffer lives on the policy so steady-state episodes
-        // never allocate here; it is detached during the rescore loop
-        // to satisfy the borrow checker and reattached after.
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.clear();
+        self.retire(target);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.mark.fill(0);
+            self.epoch = 1;
+        }
+        self.touched = 0;
+        let obs = view.observation();
+        let inst = view.instance();
+        let graph = view.graph();
+        let indirect_on = self.weights.indirect() > 0.0;
         if !accepted {
-            // A rejected cautious user stops contributing indirect value;
-            // its graph neighbors must be rescored. Rejected reckless
-            // users change nothing beyond leaving the candidate set.
-            if view.instance().is_cautious(target) && self.weights.indirect() > 0.0 {
-                dirty.extend_from_slice(view.graph().neighbors(target));
-                for &node in &dirty {
-                    self.rescore(view, node);
+            // A rejected threshold-gated user stops contributing
+            // indirect value, so its neighbors' potentials fall. A
+            // rejected reckless user changes nothing beyond leaving the
+            // candidate set.
+            if indirect_on && inst.is_cautious(target) {
+                for &w in graph.neighbors(target) {
+                    self.defer(obs, w);
                 }
             }
             if self.trace.is_active() {
-                self.emit_observe(target, accepted, dirty.len());
+                self.emit_observe(target, accepted);
             }
-            self.dirty = dirty;
             return;
         }
-        // Dirty set: nodes whose potential terms reference the target
-        // (its graph neighbors — covers newly revealed absent edges too)
-        // plus the realized neighbors (fof/mutual changes). A revealed
-        // node's *own* neighbors only need rescoring when its
-        // mutual-friend bump actually moved a term they read: either it
-        // just became a friend-of-friend (first mutual friend) or it is
-        // an unrequested threshold-gated user still at or below its
-        // threshold (the indirect denominator changed). Every skipped
-        // rescore is provably a no-op, so the selection sequence — and
-        // the `rescores_changed`/heap telemetry — is unchanged.
-        let obs = view.observation();
-        let inst = view.instance();
-        // Patch the SoA caches before any rescore reads them: the
-        // target is now a friend (its direct-term gain drops to zero),
-        // its incident edges were just resolved to present/absent, and
-        // every newly revealed node is now a friend-of-friend.
+        // The target is now a friend and every newly revealed node a
+        // friend-of-friend: their direct-term gains drop to zero.
         self.fof_gain[target.index()] = 0.0;
-        for (_, e) in view.graph().neighbor_entries(target) {
-            self.belief[e.index()] = view.edge_belief(e);
-        }
         for &v in newly_revealed {
             self.fof_gain[v.index()] = 0.0;
         }
-        dirty.extend_from_slice(view.graph().neighbors(target));
-        let indirect_on = self.weights.indirect() > 0.0;
+        // Only newly revealed nodes gained a mutual friend. Rescore now
+        // the potentials that can rise: a non-reckless revealed node's
+        // `q`, and the neighbors of an unrequested threshold-gated node
+        // still below its threshold (its `P_I` denominator shrank).
         for &v in newly_revealed {
-            dirty.push(v);
+            if !matches!(inst.user_class(v), UserClass::Reckless { .. }) {
+                self.rescore_eager(view, v);
+            }
             let mutual = obs.mutual_friends(v); // post-increment value
-            let fof_flip = mutual == 1 && !obs.is_friend(v);
-            let indirect_live = indirect_on
+            let indirect_rises = indirect_on
                 && inst
                     .threshold(v)
-                    .is_some_and(|theta| !obs.was_requested(v) && theta >= mutual);
-            if fof_flip || indirect_live {
-                dirty.extend_from_slice(view.graph().neighbors(v));
+                    .is_some_and(|theta| !obs.was_requested(v) && theta > mutual);
+            if indirect_rises {
+                for &w in graph.neighbors(v) {
+                    self.rescore_eager(view, w);
+                }
             }
         }
-        dirty.sort_unstable();
-        dirty.dedup();
-        for &node in &dirty {
-            self.rescore(view, node);
+        // Every other dirty node can only have fallen: the target's
+        // neighbors lose its gain and its indirect term, a reckless
+        // revealed node can at most have become a friend-of-friend, and
+        // a revealed node's neighbors lose its gain when it just became
+        // a friend-of-friend, or its indirect term when it just reached
+        // its threshold.
+        for &w in graph.neighbors(target) {
+            self.defer(obs, w);
+        }
+        for &v in newly_revealed {
+            self.defer(obs, v);
+            let mutual = obs.mutual_friends(v);
+            let fof_flip = mutual == 1 && !obs.is_friend(v);
+            let indirect_ends = indirect_on
+                && inst
+                    .threshold(v)
+                    .is_some_and(|theta| !obs.was_requested(v) && theta == mutual);
+            if fof_flip || indirect_ends {
+                for &w in graph.neighbors(v) {
+                    self.defer(obs, w);
+                }
+            }
         }
         if self.trace.is_active() {
-            self.emit_observe(target, accepted, dirty.len());
+            self.emit_observe(target, accepted);
         }
-        self.dirty = dirty;
     }
 }
 
@@ -772,10 +902,34 @@ mod tests {
         assert!(abm.potential_of(&view, NodeId::new(0)) > abm.potential_of(&view, NodeId::new(2)));
     }
 
+    /// Asserts the cache invariant behind the lazy evaluation: every
+    /// candidate's cached potential equals a from-scratch evaluation,
+    /// except a deferred one's, which may only exceed it. Returns the
+    /// number of deferred candidates.
+    fn assert_cache_bounds(abm: &Abm, view: &AttackerView<'_>) -> usize {
+        let mut deferred = 0;
+        for u in view.candidates() {
+            let cached = abm.potential[u.index()];
+            let exact = abm.potential_of(view, u);
+            if abm.deferred[u.index()] {
+                deferred += 1;
+                assert!(
+                    cached.total_cmp(&exact).is_ge(),
+                    "deferred bound {cached} of {u} is below its potential {exact}"
+                );
+            } else {
+                assert_eq!(cached, exact, "cached potential of {u} diverged");
+            }
+        }
+        deferred
+    }
+
     #[test]
     fn incremental_rescoring_matches_fresh_policy() {
-        // After an acceptance, every cached potential must equal a
-        // from-scratch evaluation.
+        // After an acceptance, every eagerly rescored potential equals a
+        // from-scratch evaluation and every deferred one bounds it from
+        // above. Accepting the hub defers leaves 1 and 2 (reckless, so
+        // their potentials can only fall) and rescores cautious leaf 3.
         let inst = star();
         let real = full(&inst);
         let mut abm = Abm::new(AbmWeights::balanced());
@@ -787,20 +941,70 @@ mod tests {
         let revealed = obs.record_acceptance(NodeId::new(0), &inst, &real);
         let view = AttackerView::new(&inst, &obs);
         abm.observe(&view, NodeId::new(0), true, &revealed);
-        for u in view.candidates() {
-            assert_eq!(
-                abm.potential[u.index()],
-                abm.potential_of(&view, u),
-                "cached potential of {u} diverged"
-            );
+        assert_eq!(assert_cache_bounds(&abm, &view), 2);
+        assert!(!abm.deferred[3]);
+        assert_eq!(abm.potential[3], abm.potential_of(&view, NodeId::new(3)));
+    }
+
+    #[test]
+    fn cache_bounds_hold_through_whole_episodes() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut deferred_seen = 0;
+        for seed in 0..6u64 {
+            let inst = mixed_instance(seed);
+            let real = Realization::sample(&inst, &mut StdRng::seed_from_u64(seed + 100));
+            let mut abm = Abm::new(AbmWeights::with_indirect(0.3));
+            let mut obs = Observation::for_instance(&inst);
+            abm.reset(&AttackerView::new(&inst, &obs));
+            for _ in 0..30 {
+                let view = AttackerView::new(&inst, &obs);
+                let Some(t) = abm.select(&view) else { break };
+                let accepted = real.accepts_at(&inst, t, obs.mutual_friends(t));
+                let revealed = if accepted {
+                    obs.record_acceptance(t, &inst, &real)
+                } else {
+                    obs.record_rejection(t);
+                    Vec::new()
+                };
+                let view = AttackerView::new(&inst, &obs);
+                abm.observe(&view, t, accepted, &revealed);
+                deferred_seen += assert_cache_bounds(&abm, &view);
+            }
         }
+        assert!(deferred_seen > 0, "no observation deferred a rescore");
+    }
+
+    /// A 60-node BA instance mixing all four user classes, with random
+    /// edge priors; threshold-gated users carry a large benefit gap.
+    fn mixed_instance(seed: u64) -> AccuInstance {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = osn_graph::generators::barabasi_albert(60, 3, &mut rng).unwrap();
+        let m = g.edge_count();
+        let mut builder = AccuInstanceBuilder::new(g)
+            .edge_probabilities((0..m).map(|_| rng.gen_range(0.1..1.0)).collect());
+        for i in 0..60usize {
+            let v = NodeId::from(i);
+            let class = match i % 7 {
+                3 => UserClass::cautious(rng.gen_range(1..3)),
+                5 => UserClass::hesitant(rng.gen_range(0.05..0.3), 0.9, rng.gen_range(1..4)),
+                6 => UserClass::mutual_linear(rng.gen_range(0.0..0.3), 0.25),
+                _ => UserClass::reckless(rng.gen_range(0.1..1.0)),
+            };
+            builder = builder.user_class(v, class);
+            if class.is_cautious() {
+                builder = builder.benefits(v, 50.0, 1.0);
+            }
+        }
+        builder.build().unwrap()
     }
 
     #[test]
     fn incremental_matches_naive_full_rescan() {
-        // The lazy-heap + dirty-set machinery is an optimization only:
-        // on a random-ish instance the selected sequence must equal a
-        // from-scratch argmax at every step.
+        // The winner tree + deferred rescoring is an optimization only:
+        // across all four user classes, several indirect weights and
+        // episodes with rejections, the selected sequence must equal a
+        // from-scratch argmax at every step, and no top is ever stale.
         struct NaiveAbm(Abm);
         impl Policy for NaiveAbm {
             fn name(&self) -> &str {
@@ -814,34 +1018,42 @@ mod tests {
                     .map(|(_, u)| u)
             }
         }
-        use crate::AttackerView;
-        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use rand::{rngs::StdRng, SeedableRng};
+        let recorder = accu_telemetry::Recorder::enabled();
+        let mut gated_rejections = 0;
         for seed in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g = osn_graph::generators::barabasi_albert(60, 3, &mut rng).unwrap();
-            let m = g.edge_count();
-            let mut builder = crate::AccuInstanceBuilder::new(g)
-                .edge_probabilities((0..m).map(|_| rng.gen_range(0.1..1.0)).collect());
-            for i in 0..60usize {
-                let v = NodeId::from(i);
-                if i % 11 == 3 {
-                    builder = builder
-                        .user_class(v, UserClass::cautious(rng.gen_range(1..3)))
-                        .benefits(v, 50.0, 1.0);
-                } else {
-                    builder = builder.user_class(v, UserClass::reckless(rng.gen_range(0.1..1.0)));
-                }
-            }
-            let inst = builder.build().unwrap();
+            let inst = mixed_instance(seed);
             let real = Realization::sample(&inst, &mut StdRng::seed_from_u64(seed + 100));
-            let weights = AbmWeights::balanced();
-            let fast = run_attack(&inst, &real, &mut Abm::new(weights), 25);
-            let slow = run_attack(&inst, &real, &mut NaiveAbm(Abm::new(weights)), 25);
-            let fast_targets: Vec<NodeId> = fast.trace.iter().map(|r| r.target).collect();
-            let slow_targets: Vec<NodeId> = slow.trace.iter().map(|r| r.target).collect();
-            assert_eq!(fast_targets, slow_targets, "seed {seed}: traces diverged");
-            assert_eq!(fast.total_benefit, slow.total_benefit);
+            for wi in [0.0, 0.3, 0.5] {
+                let weights = AbmWeights::with_indirect(wi);
+                let fast = run_attack(
+                    &inst,
+                    &real,
+                    &mut Abm::with_recorder(weights, &recorder),
+                    25,
+                );
+                let slow = run_attack(&inst, &real, &mut NaiveAbm(Abm::new(weights)), 25);
+                let fast_targets: Vec<NodeId> = fast.trace.iter().map(|r| r.target).collect();
+                let slow_targets: Vec<NodeId> = slow.trace.iter().map(|r| r.target).collect();
+                assert_eq!(
+                    fast_targets, slow_targets,
+                    "seed {seed}, w_I {wi}: traces diverged"
+                );
+                assert_eq!(fast.total_benefit, slow.total_benefit);
+                gated_rejections += fast
+                    .trace
+                    .iter()
+                    .filter(|r| r.cautious && !r.accepted)
+                    .count();
+            }
         }
+        assert!(
+            gated_rejections > 0,
+            "no threshold-gated rejection exercised"
+        );
+        let snap = recorder.snapshot("naive").unwrap();
+        assert_eq!(snap.counter(abm_metrics::STALE_SKIP), Some(0));
+        assert!(snap.counter(abm_metrics::SELECTS).unwrap() > 0);
     }
 
     #[test]
@@ -855,7 +1067,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counters_are_consistent_with_heap_discipline() {
+    fn telemetry_counters_are_consistent_with_tree_discipline() {
         use crate::simulator::sim_metrics;
         use accu_telemetry::Recorder;
 
@@ -872,7 +1084,9 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing counter {name}"))
         };
 
-        // Every pop is either a select or one of the two skip kinds.
+        // Every top taken is a select or a requested skip; the tree has
+        // no stale entries to skip.
+        assert_eq!(count(abm_metrics::STALE_SKIP), 0);
         assert_eq!(
             count(abm_metrics::HEAP_POP),
             count(abm_metrics::SELECTS)
@@ -882,8 +1096,8 @@ mod tests {
         // One select per request actually sent by the simulator.
         assert_eq!(count(abm_metrics::SELECTS), count(sim_metrics::REQUESTS));
         assert_eq!(count(abm_metrics::SELECTS), 2);
-        // reset() pushed all four candidates; rescoring only re-pushes
-        // entries whose potential actually changed.
+        // reset() filled all four candidate leaves; rescoring only
+        // updates a leaf whose potential actually changed.
         assert!(count(abm_metrics::HEAP_PUSH) >= 4);
         assert_eq!(
             count(abm_metrics::HEAP_PUSH),
@@ -908,20 +1122,31 @@ mod tests {
     }
 
     #[test]
-    fn heap_entry_ordering_breaks_ties_by_id() {
-        let a = HeapEntry {
-            potential: 1.0,
-            node: NodeId::new(2),
-        };
-        let b = HeapEntry {
-            potential: 1.0,
-            node: NodeId::new(1),
-        };
-        assert!(b > a);
-        let c = HeapEntry {
-            potential: 2.0,
-            node: NodeId::new(9),
-        };
-        assert!(c > b);
+    fn winner_tree_breaks_ties_toward_lowest_id() {
+        let mut keys = vec![1.0, 2.0, 2.0, 0.5, 2.0, f64::NEG_INFINITY, 0.0, 0.0];
+        let mut tree = WinnerTree::default();
+        tree.build(&keys);
+        assert_eq!(tree.top(), 1);
+        keys[1] = 0.0;
+        tree.update(1);
+        tree.repair(&keys);
+        assert_eq!(tree.top(), 2);
+        keys[2] = f64::NEG_INFINITY;
+        keys[7] = 3.0;
+        tree.update(7);
+        tree.update(2);
+        tree.update(7);
+        tree.repair(&keys);
+        assert_eq!(tree.top(), 7);
+        keys[7] = 2.0;
+        tree.update(7);
+        tree.repair(&keys);
+        assert_eq!(tree.top(), 4);
+        // A one-leaf tree is its own root.
+        let mut single = WinnerTree::default();
+        single.build(&[f64::NEG_INFINITY]);
+        single.update(0);
+        single.repair(&[f64::NEG_INFINITY]);
+        assert_eq!(single.top(), 0);
     }
 }
