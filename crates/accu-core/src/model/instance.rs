@@ -40,23 +40,44 @@ pub(crate) struct CautiousIndex {
 }
 
 impl CautiousIndex {
+    /// Scatters from the threshold-gated nodes (a few per network)
+    /// rather than scanning every adjacency row: visiting them in
+    /// ascending id order appends each to its neighbors' rows in sorted
+    /// adjacency order. `O(n + Σ gated degrees)`.
     fn build(graph: &Graph, classes: &[UserClass], benefits: &BenefitSchedule) -> Self {
-        let n = graph.node_count();
-        let mut row_start = Vec::with_capacity(n + 1);
-        row_start.push(0);
-        let mut entries = Vec::new();
-        for i in 0..n {
-            for (v, e) in graph.neighbor_entries(NodeId::from(i)) {
-                if let Some(theta) = classes[v.index()].threshold() {
-                    entries.push(CautiousNeighbor {
-                        node: v,
-                        edge: e,
-                        theta,
-                        gap: benefits.gap(v),
-                    });
-                }
+        let gated: Vec<(NodeId, u32)> = classes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.threshold().map(|theta| (NodeId::from(i), theta)))
+            .collect();
+        let mut row_start = vec![0usize; graph.node_count() + 1];
+        for &(v, _) in &gated {
+            for &u in graph.neighbors(v) {
+                row_start[u.index() + 1] += 1;
             }
-            row_start.push(entries.len());
+        }
+        for i in 1..row_start.len() {
+            row_start[i] += row_start[i - 1];
+        }
+        let mut next = row_start.clone();
+        let placeholder = CautiousNeighbor {
+            node: NodeId::default(),
+            edge: EdgeId::default(),
+            theta: 0,
+            gap: 0.0,
+        };
+        let mut entries = vec![placeholder; *row_start.last().expect("n + 1 offsets")];
+        for &(v, theta) in &gated {
+            let gap = benefits.gap(v);
+            for (u, edge) in graph.neighbor_entries(v) {
+                entries[next[u.index()]] = CautiousNeighbor {
+                    node: v,
+                    edge,
+                    theta,
+                    gap,
+                };
+                next[u.index()] += 1;
+            }
         }
         CautiousIndex { row_start, entries }
     }
@@ -83,19 +104,32 @@ impl AcceptanceCuts {
         let n = graph.node_count();
         let mut row_start = Vec::with_capacity(n + 1);
         row_start.push(0);
-        let mut values = Vec::new();
+        let mut values = Vec::with_capacity(classes.len());
         let mut scratch: Vec<f64> = Vec::new();
+        let interior = |q: f64| q > 0.0 && q < 1.0;
         for (i, &class) in classes.iter().enumerate() {
-            let degree = graph.degree(NodeId::from(i)) as u32;
-            scratch.clear();
-            scratch.extend(
-                (0..=degree)
-                    .map(|m| class.acceptance_probability_at(m))
-                    .filter(|&q| q > 0.0 && q < 1.0),
-            );
-            scratch.sort_by(f64::total_cmp);
-            scratch.dedup();
-            values.extend_from_slice(&scratch);
+            match class {
+                // A constant curve: its one value, if interior.
+                UserClass::Reckless { acceptance } => {
+                    if interior(acceptance) {
+                        values.push(acceptance);
+                    }
+                }
+                // A 0/1 step: no interior values.
+                UserClass::Cautious { .. } => {}
+                _ => {
+                    let degree = graph.degree(NodeId::from(i)) as u32;
+                    scratch.clear();
+                    scratch.extend(
+                        (0..=degree)
+                            .map(|m| class.acceptance_probability_at(m))
+                            .filter(|&q| interior(q)),
+                    );
+                    scratch.sort_by(f64::total_cmp);
+                    scratch.dedup();
+                    values.extend_from_slice(&scratch);
+                }
+            }
             row_start.push(values.len());
         }
         AcceptanceCuts { row_start, values }
@@ -657,6 +691,52 @@ mod tests {
         assert!(!inst.is_cautious(NodeId::new(1)));
         assert_eq!(inst.threshold(NodeId::new(0)), Some(2));
         assert_eq!(inst.threshold(NodeId::new(1)), None);
+    }
+
+    #[test]
+    fn derived_indexes_match_their_definitions() {
+        use osn_graph::generators::barabasi_albert;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let g = barabasi_albert(300, 4, &mut StdRng::seed_from_u64(5)).unwrap();
+        let classes: Vec<UserClass> = (0..g.node_count())
+            .map(|i| match i % 7 {
+                0 => UserClass::cautious(1 + (i % 5) as u32),
+                1 => UserClass::hesitant(0.1, 0.8, 2),
+                2 => UserClass::mutual_linear(0.2, 0.15),
+                3 => UserClass::reckless(0.0),
+                4 => UserClass::reckless(1.0),
+                _ => UserClass::reckless((i % 10) as f64 / 10.0),
+            })
+            .collect();
+        let inst = AccuInstanceBuilder::new(g.clone())
+            .user_classes(classes.clone())
+            .build()
+            .unwrap();
+        for u in g.nodes() {
+            let want: Vec<(NodeId, EdgeId, u32)> = g
+                .neighbor_entries(u)
+                .filter_map(|(v, e)| classes[v.index()].threshold().map(|t| (v, e, t)))
+                .collect();
+            let got: Vec<(NodeId, EdgeId, u32)> = inst
+                .cautious_row(u)
+                .iter()
+                .map(|c| (c.node, c.edge, c.theta))
+                .collect();
+            assert_eq!(got, want, "cautious row of {u}");
+            for c in inst.cautious_row(u) {
+                assert_eq!(c.gap, inst.benefits().gap(c.node));
+            }
+
+            let class = classes[u.index()];
+            let mut cuts: Vec<f64> = (0..=g.degree(u) as u32)
+                .map(|m| class.acceptance_probability_at(m))
+                .filter(|&q| q > 0.0 && q < 1.0)
+                .collect();
+            cuts.sort_by(f64::total_cmp);
+            cuts.dedup();
+            assert_eq!(inst.acceptance_cuts(u), cuts, "cuts of {u}");
+        }
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! These extend the paper's baseline lineup with the other classic
 //! static-centrality orderings; like MaxDegree and PageRank they use
-//! global topology knowledge computed once per episode.
+//! global topology knowledge, ranked once per instance.
 
 use osn_graph::algo::{betweenness_centrality, closeness_centrality, eigenvector_centrality};
 use osn_graph::NodeId;
 
+use super::baselines::{by_descending_score, StaticOrder};
 use crate::{AttackerView, Policy};
 
 /// Which centrality measure ranks the targets.
@@ -45,7 +46,7 @@ impl CentralityKind {
 #[derive(Debug, Clone)]
 pub struct CentralityPolicy {
     kind: CentralityKind,
-    order: Vec<NodeId>,
+    order: StaticOrder,
 }
 
 impl CentralityPolicy {
@@ -53,7 +54,7 @@ impl CentralityPolicy {
     pub fn new(kind: CentralityKind) -> Self {
         CentralityPolicy {
             kind,
-            order: Vec::new(),
+            order: StaticOrder::default(),
         }
     }
 
@@ -69,30 +70,19 @@ impl Policy for CentralityPolicy {
     }
 
     fn reset(&mut self, view: &AttackerView<'_>) {
-        let g = view.graph();
-        let scores = match self.kind {
-            CentralityKind::Betweenness => betweenness_centrality(g),
-            CentralityKind::Closeness => closeness_centrality(g),
-            CentralityKind::Eigenvector => eigenvector_centrality(g, 100, 1e-10),
-        };
-        let mut order: Vec<NodeId> = g.nodes().collect();
-        // Ascending; consumed from the back → descending score, ties to
-        // the lower id.
-        order.sort_by(|&a, &b| {
-            scores[a.index()]
-                .total_cmp(&scores[b.index()])
-                .then_with(|| b.cmp(&a))
+        let kind = self.kind;
+        self.order.reset(view, |g| {
+            let scores = match kind {
+                CentralityKind::Betweenness => betweenness_centrality(g),
+                CentralityKind::Closeness => closeness_centrality(g),
+                CentralityKind::Eigenvector => eigenvector_centrality(g, 100, 1e-10),
+            };
+            by_descending_score(g, &scores)
         });
-        self.order = order;
     }
 
     fn select(&mut self, view: &AttackerView<'_>) -> Option<NodeId> {
-        while let Some(v) = self.order.pop() {
-            if !view.observation().was_requested(v) {
-                return Some(v);
-            }
-        }
-        None
+        self.order.next(view)
     }
 }
 

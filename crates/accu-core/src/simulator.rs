@@ -136,7 +136,7 @@ pub struct RequestRecord {
 }
 
 /// Full result of one attack episode.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttackOutcome {
     /// Per-request records, in order.
     pub trace: Vec<RequestRecord>,
@@ -361,6 +361,10 @@ pub fn run_attack_episode<'s>(
 /// relaxed atomic load, with no allocation — the zero-alloc episode
 /// invariant holds (asserted by the `zero_alloc` bench test).
 ///
+/// The outcome is lent mutably, so a caller that keeps every outcome
+/// can `std::mem::take` it rather than clone it; the next episode on
+/// `scratch` then allocates its buffers afresh.
+///
 /// # Panics
 ///
 /// Panics if the policy selects an already-requested node.
@@ -374,7 +378,7 @@ pub fn run_attack_episode_traced<'s>(
     recorder: &Recorder,
     track: &TraceTrack,
     scratch: &'s mut EpisodeScratch,
-) -> &'s AttackOutcome {
+) -> &'s mut AttackOutcome {
     attack_core_traced(
         instance,
         instance,
@@ -387,7 +391,7 @@ pub fn run_attack_episode_traced<'s>(
         track,
         &mut scratch.sim,
     );
-    &scratch.sim.outcome
+    &mut scratch.sim.outcome
 }
 
 /// The shared attack loop: the policy sees `believed`, requests resolve

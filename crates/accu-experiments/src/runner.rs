@@ -1895,7 +1895,10 @@ fn process_chunk(
                 // paired comparisons face identical fault sequences; it is
                 // trivial (and free) when figure.faults is none.
                 let plan = FaultPlan::sample(&figure.faults, run_seed, figure.budget);
-                let outcome = run_attack_episode_traced(
+                // Moved out, not cloned: the chunk keeps every outcome
+                // until the network folds, so the lane's next episode
+                // allocates fresh buffers either way.
+                let outcome = std::mem::take(run_attack_episode_traced(
                     &state.instance,
                     policy_impl.as_mut(),
                     figure.budget,
@@ -1904,7 +1907,7 @@ fn process_chunk(
                     ctx.recorder,
                     track,
                     scratch.lane(lane),
-                );
+                ));
                 if track.is_active() {
                     track.instant(
                         "episode_end",
@@ -1926,14 +1929,14 @@ fn process_chunk(
                         ],
                     );
                 }
-                outcomes.push(outcome.clone());
+                let faults_seen = outcome.faults.faults_seen() as u64;
+                outcomes.push(outcome);
                 tel.episodes.incr();
                 tel.worker_episodes.incr();
                 // Heartbeats: both the worker's supervisor-facing stamp and
                 // the run-level stall watchdog advance per episode.
                 wstate.beat(ctx.run_started);
-                ctx.observer
-                    .episode_done(outcome.faults.faults_seen() as u64);
+                ctx.observer.episode_done(faults_seen);
             }
             block_lo = block_hi;
         }

@@ -1,15 +1,14 @@
 //! Incremental construction of immutable [`Graph`]s.
 
-use std::collections::HashSet;
-
 use crate::{Edge, Graph, GraphError, NodeId};
 
 /// Builder that accumulates edges and produces an immutable [`Graph`].
 ///
 /// The node count is fixed up front; nodes are the dense ids
-/// `0..node_count`. Duplicate edges are silently deduplicated (the insert
-/// reports whether the edge was new), self-loops and out-of-range
-/// endpoints are rejected.
+/// `0..node_count`. Self-loops and out-of-range endpoints are rejected
+/// on insert; duplicate edges (in either orientation) are accepted and
+/// merged by [`build`](Self::build), which puts the edges in canonical
+/// order with a counting sort — `O(n + m)`, no hashing.
 ///
 /// # Examples
 ///
@@ -19,8 +18,8 @@ use crate::{Edge, Graph, GraphError, NodeId};
 /// let mut b = GraphBuilder::new(4);
 /// b.add_edge(NodeId::new(0), NodeId::new(1))?;
 /// b.add_edge(NodeId::new(1), NodeId::new(2))?;
-/// // duplicates are fine; the second insert reports `false`:
-/// assert!(!b.add_edge(NodeId::new(2), NodeId::new(1))?);
+/// // duplicates are fine; `build` merges them:
+/// b.add_edge(NodeId::new(2), NodeId::new(1))?;
 /// let g = b.build();
 /// assert_eq!(g.node_count(), 4);
 /// assert_eq!(g.edge_count(), 2);
@@ -29,7 +28,8 @@ use crate::{Edge, Graph, GraphError, NodeId};
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     node_count: usize,
-    edges: HashSet<Edge>,
+    /// Every accepted edge in insertion order, duplicates included.
+    edges: Vec<Edge>,
     /// First edge rejected by [`Extend::extend`], deferred so bulk
     /// insertion stays panic-free; surfaced by [`try_build`](Self::try_build).
     deferred: Option<GraphError>,
@@ -42,7 +42,7 @@ impl GraphBuilder {
     pub fn new(node_count: usize) -> Self {
         GraphBuilder {
             node_count,
-            edges: HashSet::new(),
+            edges: Vec::new(),
             deferred: None,
             rejected: 0,
         }
@@ -52,7 +52,7 @@ impl GraphBuilder {
     pub fn with_edge_capacity(node_count: usize, edge_hint: usize) -> Self {
         GraphBuilder {
             node_count,
-            edges: HashSet::with_capacity(edge_hint),
+            edges: Vec::with_capacity(edge_hint),
             deferred: None,
             rejected: 0,
         }
@@ -63,22 +63,22 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of distinct edges added so far.
+    /// Number of edges added so far, duplicates included (`build`
+    /// merges them).
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
 
-    /// Adds the undirected edge `(a, b)`.
-    ///
-    /// Returns `Ok(true)` if the edge was new, `Ok(false)` if it was
-    /// already present.
+    /// Adds the undirected edge `(a, b)`. Adding an edge that is
+    /// already present is not an error; [`build`](Self::build) keeps one
+    /// copy.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::SelfLoop`] if `a == b` and
     /// [`GraphError::NodeOutOfRange`] if either endpoint is `>=
     /// node_count`.
-    pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, GraphError> {
+    pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
         if a == b {
             return Err(GraphError::SelfLoop { node: a });
         }
@@ -90,12 +90,8 @@ impl GraphBuilder {
                 });
             }
         }
-        Ok(self.edges.insert(Edge::new(a, b)))
-    }
-
-    /// Returns `true` if the edge `(a, b)` has been added.
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.edges.contains(&Edge::new(a, b))
+        self.edges.push(Edge::new(a, b));
+        Ok(())
     }
 
     /// Fallible bulk insertion: adds edges until the first invalid one
@@ -125,16 +121,17 @@ impl GraphBuilder {
 
     /// Builds the immutable CSR-backed [`Graph`].
     ///
-    /// Edges are sorted into canonical order, so the same edge set always
-    /// produces the same graph regardless of insertion order.
+    /// Edges are put into canonical `(lo, hi)` order — which assigns the
+    /// [`EdgeId`](crate::EdgeId)s — and deduplicated, so the same edge
+    /// set always produces the same graph regardless of insertion order
+    /// or repetition. Runs in `O(node_count + edges added)`.
     ///
     /// Edges rejected by [`Extend::extend`] are *dropped by policy*:
     /// `build` returns the graph over the valid edges. Call
     /// [`try_build`](Self::try_build) to treat any rejected edge as an
     /// error instead.
     pub fn build(self) -> Graph {
-        let mut edges: Vec<Edge> = self.edges.into_iter().collect();
-        edges.sort_unstable();
+        let edges = canonical_order(self.node_count, self.edges);
         Graph::from_sorted_dedup_edges(self.node_count, edges)
     }
 
@@ -195,6 +192,42 @@ impl GraphBuilder {
     }
 }
 
+/// Sorts `edges` into canonical `(lo, hi)` order and drops duplicates:
+/// a counting sort by `hi`, then a stable counting sort by `lo` (LSD
+/// radix order over the two endpoints), then one dedup pass over the
+/// now-adjacent copies. `O(node_count + edges.len())`.
+fn canonical_order(node_count: usize, mut edges: Vec<Edge>) -> Vec<Edge> {
+    let Some(&fill) = edges.first() else {
+        return edges;
+    };
+    let mut by_hi = vec![fill; edges.len()];
+    let mut slots = vec![0usize; node_count + 1];
+    counting_sort(&edges, &mut by_hi, &mut slots, |e| e.hi().index());
+    counting_sort(&by_hi, &mut edges, &mut slots, |e| e.lo().index());
+    edges.dedup();
+    edges
+}
+
+/// Stable counting sort of `src` into `dst` by `key`, which must be
+/// `< slots.len()`. `slots` is scratch and is overwritten.
+fn counting_sort(src: &[Edge], dst: &mut [Edge], slots: &mut [usize], key: impl Fn(Edge) -> usize) {
+    slots.fill(0);
+    for &e in src {
+        slots[key(e)] += 1;
+    }
+    let mut start = 0;
+    for slot in slots.iter_mut() {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    for &e in src {
+        let k = key(e);
+        dst[slots[k]] = e;
+        slots[k] += 1;
+    }
+}
+
 impl Extend<Edge> for GraphBuilder {
     /// Extends with edges, never panicking: invalid edges are skipped
     /// and the first rejection is deferred, to be surfaced by
@@ -249,10 +282,11 @@ mod tests {
     #[test]
     fn dedups_edges_in_either_order() {
         let mut b = GraphBuilder::new(3);
-        assert!(b.add_edge(NodeId::new(0), NodeId::new(2)).unwrap());
-        assert!(!b.add_edge(NodeId::new(2), NodeId::new(0)).unwrap());
-        assert_eq!(b.edge_count(), 1);
-        assert!(b.has_edge(NodeId::new(2), NodeId::new(0)));
+        b.add_edge(NodeId::new(0), NodeId::new(2)).unwrap();
+        b.add_edge(NodeId::new(2), NodeId::new(0)).unwrap();
+        assert_eq!(b.edge_count(), 2);
+        let g = b.build();
+        assert_eq!(g.edges(), [Edge::new(NodeId::new(0), NodeId::new(2))]);
     }
 
     #[test]

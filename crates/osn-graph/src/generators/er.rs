@@ -1,5 +1,7 @@
 //! Erdős–Rényi random graphs.
 
+use std::collections::HashSet;
+
 use rand::Rng;
 
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
@@ -100,10 +102,13 @@ pub fn erdos_renyi_gnm<R: Rng + ?Sized>(
     // Rejection sampling is fine while m is far below the maximum; fall
     // back to dense enumeration + partial shuffle when the graph is dense.
     if (m as f64) < 0.5 * max_edges as f64 {
-        while b.edge_count() < m {
+        // Distinct edges drawn so far, as packed keys: a redrawn pair
+        // does not count toward m.
+        let mut seen: HashSet<u64> = HashSet::with_capacity(m);
+        while seen.len() < m {
             let a = rng.gen_range(0..n as u32);
             let c = rng.gen_range(0..n as u32);
-            if a != c {
+            if a != c && seen.insert(super::edge_key(a, c)) {
                 b.add_edge(NodeId::new(a), NodeId::new(c))?;
             }
         }

@@ -42,6 +42,13 @@ pub(crate) fn check_edge_count(m: u128) -> Result<usize, GraphError> {
     Ok(m as usize)
 }
 
+/// The undirected edge `{a, b}` packed into one `u64` (smaller id in
+/// the high half), for the rejection samplers that must count distinct
+/// edges while they draw.
+pub(crate) fn edge_key(a: u32, b: u32) -> u64 {
+    (u64::from(a.min(b)) << 32) | u64::from(a.max(b))
+}
+
 pub use agm::{community_affiliation, AgmParams};
 pub use ba::barabasi_albert;
 pub use community::{planted_partition, PlantedPartition};

@@ -1,6 +1,8 @@
 //! R-MAT (recursive matrix) graphs — the generator family behind many
 //! SNAP-style benchmark graphs (Graph500 uses it too).
 
+use std::collections::HashSet;
+
 use rand::Rng;
 
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
@@ -109,9 +111,11 @@ pub fn rmat<R: Rng + ?Sized>(
     let ab = params.a + params.b;
     let a_frac = params.a / ab;
     let c_frac = params.c / (params.c + params.d);
+    // Distinct edges drawn so far, as packed keys: duplicates count
+    // against the budget, not toward the target.
+    let mut seen: HashSet<u64> = HashSet::with_capacity(target);
     let mut budget = target * 8; // retry budget for loops/duplicates
-    let mut added = 0usize;
-    while added < target && budget > 0 {
+    while seen.len() < target && budget > 0 {
         budget -= 1;
         let (mut lo_u, mut lo_v) = (0usize, 0usize);
         let mut half = n >> 1;
@@ -130,8 +134,9 @@ pub fn rmat<R: Rng + ?Sized>(
             }
             half >>= 1;
         }
-        if lo_u != lo_v && builder.add_edge(NodeId::from(lo_u), NodeId::from(lo_v))? {
-            added += 1;
+        // Exact narrowing: lo_u, lo_v < 2^scale ≤ 2^30.
+        if lo_u != lo_v && seen.insert(super::edge_key(lo_u as u32, lo_v as u32)) {
+            builder.add_edge(NodeId::from(lo_u), NodeId::from(lo_v))?;
         }
     }
     Ok(builder.build())

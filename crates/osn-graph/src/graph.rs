@@ -128,26 +128,11 @@ impl Graph {
             target_edges[cursor[b.index()]] = id;
             cursor[b.index()] += 1;
         }
-        // Each row is already sorted: edges are processed in canonical
-        // order, so for a fixed node the lo-endpoint targets arrive in
-        // increasing hi order — but hi-endpoint targets (the lo side)
-        // interleave, so sort each row with its parallel edge ids.
-        for v in 0..node_count {
-            let (s, e) = (offsets[v], offsets[v + 1]);
-            let row: &mut [NodeId] = &mut targets[s..e];
-            if !row.is_sorted() {
-                let mut paired: Vec<(NodeId, EdgeId)> = row
-                    .iter()
-                    .copied()
-                    .zip(target_edges[s..e].iter().copied())
-                    .collect();
-                paired.sort_unstable();
-                for (i, (t, id)) in paired.into_iter().enumerate() {
-                    targets[s + i] = t;
-                    target_edges[s + i] = id;
-                }
-            }
-        }
+        // Rows come out sorted with no per-row sort: in canonical order
+        // every edge `(u, v)` with `u < v` precedes the `(v, ·)` block,
+        // so row `v` first receives its smaller neighbors in ascending
+        // order, then its larger ones, also ascending.
+        debug_assert!((0..node_count).all(|v| targets[offsets[v]..offsets[v + 1]].is_sorted()));
         Graph {
             offsets,
             targets,
